@@ -36,6 +36,7 @@ any nondecreasing stream, and is what makes a hash-sharded parallel run
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator
 
@@ -105,9 +106,7 @@ def _product_lift(weight: float) -> float:
 
 
 #: Tropical sum: results ranked by total weight (the default everywhere).
-SUM = RankingFunction(
-    "sum", lambda a, b: a + b, 0.0, float, raw_combine=lambda a, b: a + b
-)
+SUM = RankingFunction("sum", operator.add, 0.0, float, raw_combine=operator.add)
 
 #: Bottleneck: results ranked by their heaviest participating tuple.
 MAX = RankingFunction(
@@ -117,7 +116,7 @@ MAX = RankingFunction(
 #: Product of (positive) weights, compared in log space for stability.
 PRODUCT = RankingFunction(
     "product",
-    lambda a, b: a + b,
+    operator.add,
     0.0,
     _product_lift,
     raw_combine=lambda a, b: a * b,

@@ -20,6 +20,15 @@ Key objects:
   (prefix) priorities and full solution weights are always comparable —
   this is what makes non-float rankings such as LEX safe on trees.
 
+The bottom-up pass works a stage at a time on the reducer's already
+validated rows: each child's bucket minima are looked up for the whole
+parent-key column and folded in with one ``map``, the stage's tuples are
+grouped by their own key column (:func:`repro.data.relation.group_rows`),
+and each bucket's first minimum is found with ``min`` and ``index``.
+Bucket keys are tuples, as :meth:`TDP.bucket_for` builds them.  The
+``Counters`` charge one read per tuple and one comparison per bucket
+member after the first, the totals of a tuple-at-a-time scan.
+
 A *solution prefix* is a choice of tuples for stages ``0..L-1`` (DFS order
 guarantees each stage's parent is chosen before it).  Its *priority* — the
 exact weight of the best full solution extending it — folds assigned lifts
@@ -29,10 +38,11 @@ and, for each frontier subtree, the corresponding bucket minimum.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Optional, Sequence
 
 from repro.data.database import Database
-from repro.data.relation import Relation
+from repro.data.relation import Relation, group_rows, key_column
 from repro.anyk.ranking import RankingFunction, SUM
 from repro.joins.semijoin import full_reducer
 from repro.obs.memory import tdp_bucket_bytes, tdp_tuple_bytes, tracker_of
@@ -88,6 +98,17 @@ class Stage:
     subtree_size: int = 1
 
 
+def _lookup_column(
+    rows: list[tuple], positions: tuple[int, ...], table: dict[tuple, Any]
+) -> list[Any]:
+    """``[table[tuple(row[p] for p in positions)] for row in rows]``, in
+    bulk; a single-column key is looked up on the bare value."""
+    if len(positions) == 1:
+        bare = {key[0]: value for key, value in table.items()}
+        return list(map(bare.__getitem__, map(itemgetter(*positions), rows)))
+    return list(map(table.__getitem__, key_column(rows, positions)))
+
+
 class TDP:
     """The compiled dynamic program for one acyclic full CQ.
 
@@ -118,7 +139,7 @@ class TDP:
         # Lifted tuple weights per stage (parallel to relation rows).
         lift = ranking.lift
         self.lifted: list[list[Any]] = [
-            [lift(w) for w in stage.relation.weights] for stage in self.stages
+            list(map(lift, stage.relation.weights)) for stage in self.stages
         ]
 
         #: per stage: parent-key -> Bucket
@@ -191,44 +212,42 @@ class TDP:
         visit(self.tree.root, None)
 
     def _compute_bottom_up(self) -> None:
-        """Subtree weights and buckets, children before parents."""
+        """Subtree weights and buckets, children before parents.
+
+        Stage-at-a-time: a stage's subtree weights are its lifted weights
+        folded with each child's bucket minima (looked up by the parent
+        key column), then its tuples are grouped by their own key column.
+        """
         combine = self.ranking.combine
         for position in range(self.num_stages - 1, -1, -1):
             stage = self.stages[position]
-            relation = stage.relation
-            lifted = self.lifted[position]
-            subtree: list[Any] = []
-            for tuple_id, row in enumerate(relation.rows):
-                if self.counters is not None:
-                    self.counters.tuples_read += 1
-                weight = lifted[tuple_id]
-                for child_position in stage.children:
-                    child_stage = self.stages[child_position]
-                    key = tuple(
-                        row[p] for p in child_stage.parent_key_positions
-                    )
-                    child_bucket = self.buckets[child_position][key]
-                    weight = combine(weight, child_bucket.best_weight)
-                subtree.append(weight)
+            rows = stage.relation.rows
+            subtree = self.lifted[position]
+            for child_position in stage.children:
+                best = _lookup_column(
+                    rows,
+                    self.stages[child_position].parent_key_positions,
+                    {
+                        key: bucket.subtree_weights[bucket.best_position]
+                        for key, bucket in self.buckets[child_position].items()
+                    },
+                )
+                subtree = list(map(combine, subtree, best))
             # Bucket the tuples by parent join key.
+            groups = group_rows(rows, stage.own_key_positions)
             stage_buckets = self.buckets[position]
-            for tuple_id, row in enumerate(relation.rows):
-                key = tuple(row[p] for p in stage.own_key_positions)
-                bucket = stage_buckets.get(key)
-                if bucket is None:
-                    bucket = Bucket(tuple_ids=[], subtree_weights=[])
-                    stage_buckets[key] = bucket
-                bucket.tuple_ids.append(tuple_id)
-                bucket.subtree_weights.append(subtree[tuple_id])
-            for bucket in stage_buckets.values():
-                best = 0
-                weights = bucket.subtree_weights
-                for i in range(1, len(weights)):
-                    if self.counters is not None:
-                        self.counters.comparisons += 1
-                    if weights[i] < weights[best]:
-                        best = i
-                bucket.best_position = best
+            for key, ids in groups.items():
+                weights = list(map(subtree.__getitem__, ids))
+                stage_buckets[key] = Bucket(
+                    tuple_ids=ids,
+                    subtree_weights=weights,
+                    best_position=weights.index(min(weights)),
+                )
+            if self.counters is not None:
+                # One read per tuple; a first-minimum scan costs one
+                # comparison per bucket member after the first.
+                self.counters.tuples_read += len(rows)
+                self.counters.comparisons += len(rows) - len(groups)
 
     # ------------------------------------------------------------------
     # Accessors used by the enumeration algorithms

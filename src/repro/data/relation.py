@@ -7,7 +7,11 @@ the sum) of the weights of the input tuples that produced it, exactly the
 "aggregate weight" notion of the tutorial's Part 1.
 
 Relations are append-only; hash indexes on attribute subsets are built
-lazily and cached, and invalidated on mutation.  Lower weight means more
+lazily and cached, and invalidated on mutation.  Rows and weights are
+validated once, where they enter (construction, :meth:`Relation.add`,
+:meth:`Relation.extend`, :meth:`Relation.bulk_load`); relations derived
+from validated ones (:meth:`Relation.from_validated`,
+:meth:`Relation.take`, copies) skip the checks.  Lower weight means more
 important throughout (the tutorial's "lightest cycles" convention); the
 top-k middleware algorithms in :mod:`repro.topk` use descending *scores*
 instead, and convert explicitly at the boundary.
@@ -16,11 +20,52 @@ instead, and convert explicitly at the boundary.
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 
 class SchemaError(ValueError):
     """Raised for malformed schemas or rows that do not match a schema."""
+
+
+def key_column(rows: Sequence[tuple], positions: Sequence[int]) -> list[tuple]:
+    """``[tuple(row[p] for p in positions) for row in rows]``, in bulk.
+
+    The projection keys of many rows at once (hash-index, bucket and
+    semijoin keys): one ``operator.itemgetter`` call per row where it
+    already yields a tuple, one tuple display per row where it would
+    yield a bare value.
+    """
+    if len(positions) > 1:
+        return list(map(itemgetter(*positions), rows))
+    if positions:
+        (p,) = positions
+        return [(row[p],) for row in rows]
+    return [()] * len(rows)
+
+
+def group_rows(
+    rows: Sequence[tuple], positions: Sequence[int]
+) -> dict[tuple, list[int]]:
+    """Row ids grouped by projection key (a hash index), in bulk.
+
+    Keys are :func:`key_column` tuples in first-occurrence order, each
+    mapped to its row ids in ascending order.  A single-column key is
+    grouped on the bare value (cheaper to build and hash) and wrapped
+    into a 1-tuple once per distinct value.
+    """
+    if not positions:
+        return {(): list(range(len(rows)))} if rows else {}
+    groups: dict = {}
+    for row_id, key in enumerate(map(itemgetter(*positions), rows)):
+        ids = groups.get(key)
+        if ids is None:
+            groups[key] = [row_id]
+        else:
+            ids.append(row_id)
+    if len(positions) == 1:
+        return {(key,): ids for key, ids in groups.items()}
+    return groups
 
 
 class Relation:
@@ -80,15 +125,40 @@ class Relation:
         self._positions: dict[tuple[str, ...], tuple[int, ...]] = {}
         self._columnar = None
         if rows is not None:
-            weight_list = list(weights) if weights is not None else None
-            row_list = [tuple(row) for row in rows]
-            if weight_list is not None and len(weight_list) != len(row_list):
-                raise SchemaError(
-                    f"relation {name!r}: {len(row_list)} rows but "
-                    f"{len(weight_list)} weights"
-                )
-            for i, row in enumerate(row_list):
-                self.add(row, weight_list[i] if weight_list is not None else 0.0)
+            row_list = list(rows)
+            self.bulk_load(
+                row_list,
+                [0.0] * len(row_list) if weights is None else list(weights),
+            )
+
+    @classmethod
+    def from_validated(
+        cls,
+        name: str,
+        schema: tuple[str, ...],
+        rows: list[tuple],
+        weights: list[float],
+        version: int = 0,
+    ) -> "Relation":
+        """Wrap rows and weights that are already known to be valid.
+
+        The trusted constructor for derived relations (atom scans,
+        semijoin survivors, heavy/light restrictions): the rows
+        are tuples of ``len(schema)`` values and the weights finite
+        floats because they come from a relation that checked them at its
+        boundary (construction, :meth:`add`, :meth:`bulk_load`).  No
+        per-row check runs, and the lists are adopted, not copied.
+        """
+        out = cls.__new__(cls)
+        out.name = name
+        out.schema = schema
+        out.rows = rows
+        out.weights = weights
+        out.version = version
+        out._indexes = {}
+        out._positions = {}
+        out._columnar = None
+        return out
 
     # ------------------------------------------------------------------
     # Basic container protocol
@@ -135,13 +205,12 @@ class Relation:
     def extend(
         self, rows: Iterable[Sequence[Any]], weights: Optional[Iterable[float]] = None
     ) -> None:
-        """Append many rows (with optional parallel weights)."""
-        if weights is None:
-            for row in rows:
-                self.add(row)
-        else:
-            for row, weight in zip(rows, weights, strict=True):
-                self.add(row, weight)
+        """Append many rows (with optional parallel weights), validated
+        once through :meth:`bulk_load`."""
+        row_list = list(rows)
+        self.bulk_load(
+            row_list, [0.0] * len(row_list) if weights is None else list(weights)
+        )
 
     def bulk_load(
         self, rows: Sequence[Sequence[Any]], weights: Sequence[float]
@@ -226,11 +295,7 @@ class Relation:
         cached = self._indexes.get(attrs)
         if cached is not None:
             return cached
-        positions = self.positions(attrs)
-        index: dict[tuple, list[int]] = {}
-        for i, row in enumerate(self.rows):
-            key = tuple(row[p] for p in positions)
-            index.setdefault(key, []).append(i)
+        index = group_rows(self.rows, self.positions(attrs))
         self._indexes[attrs] = index
         return index
 
@@ -254,19 +319,26 @@ class Relation:
         """Projection (bag semantics: keeps duplicates and weights)."""
         positions = self.positions(attrs)
         out = Relation(name or f"pi_{self.name}", attrs)
-        for row, weight in zip(self.rows, self.weights):
-            out.add(tuple(row[p] for p in positions), weight)
+        out.rows = key_column(self.rows, positions)
+        out.weights = list(self.weights)
         return out
 
     def select(
         self, predicate: Callable[[tuple], bool], name: Optional[str] = None
     ) -> "Relation":
         """Selection by an arbitrary row predicate."""
-        out = Relation(name or f"sigma_{self.name}", self.schema)
-        for row, weight in zip(self.rows, self.weights):
-            if predicate(row):
-                out.add(row, weight)
-        return out
+        keep = [i for i, row in enumerate(self.rows) if predicate(row)]
+        return self.take(keep, name or f"sigma_{self.name}")
+
+    def take(self, row_ids: Sequence[int], name: Optional[str] = None) -> "Relation":
+        """The rows at ``row_ids`` (in that order), with their weights."""
+        rows, weights = self.rows, self.weights
+        return Relation.from_validated(
+            name or self.name,
+            self.schema,
+            [rows[i] for i in row_ids],
+            [weights[i] for i in row_ids],
+        )
 
     def rename(
         self, mapping: dict[str, str], name: Optional[str] = None
@@ -307,9 +379,7 @@ class Relation:
             range(len(rows)),
             key=lambda i: (weights[i], solution_tie_key(rows[i])),
         )
-        out = Relation(self.name, self.schema)
-        out.rows = [rows[i] for i in order]
-        out.weights = [weights[i] for i in order]
+        out = self.take(order)
         # Same data generation, like copy()/rename().
         out.version = self.version
         return out

@@ -154,8 +154,7 @@ class VersionedDatabase:
     def _inserted(relation: Relation, mutation: Insert) -> tuple[Relation, int]:
         replacement = relation.copy()
         try:
-            for row, weight in zip(mutation.rows, mutation.weights):
-                replacement.add(row, weight)
+            replacement.bulk_load(mutation.rows, mutation.weights)
         except SchemaError as exc:
             raise MutationError(str(exc)) from exc
         return replacement, len(mutation.rows)

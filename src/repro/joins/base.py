@@ -13,7 +13,7 @@ from collections import Counter as Multiset
 from typing import Iterable, Optional
 
 from repro.data.database import Database
-from repro.data.relation import Relation
+from repro.data.relation import Relation, key_column
 from repro.query.cq import ConjunctiveQuery
 from repro.util.counters import Counters
 
@@ -33,29 +33,40 @@ def atom_relation(
     """
     atom = query.atoms[atom_index]
     source = db[atom.relation]
-    distinct_vars: list[str] = []
-    keep_positions: list[int] = []
+    first_position = {}
     for position, variable in enumerate(atom.variables):
-        if variable not in distinct_vars:
-            distinct_vars.append(variable)
-            keep_positions.append(position)
+        first_position.setdefault(variable, position)
+    keep_positions = tuple(first_position.values())
+    if counters is not None:
+        counters.tuples_read += len(source)
 
-    out = Relation(name or f"{atom.relation}#{atom_index}", tuple(distinct_vars))
-    needs_filter = len(distinct_vars) != len(atom.variables)
-    first_position = {v: atom.variables.index(v) for v in distinct_vars}
-    for row, weight in zip(source.rows, source.weights):
-        if counters is not None:
-            counters.tuples_read += 1
-        if needs_filter:
-            consistent = True
-            for position, variable in enumerate(atom.variables):
-                if row[position] != row[first_position[variable]]:
-                    consistent = False
-                    break
-            if not consistent:
-                continue
-        out.add(tuple(row[p] for p in keep_positions), weight)
-    return out
+    rows, weights = source.rows, source.weights
+    # Repeated variables: keep the rows whose repeated columns agree.
+    checks = [
+        (position, first_position[variable])
+        for position, variable in enumerate(atom.variables)
+        if position != first_position[variable]
+    ]
+    if checks:
+        keep = [
+            i
+            for i, row in enumerate(rows)
+            if all(row[a] == row[b] for a, b in checks)
+        ]
+        rows = [rows[i] for i in keep]
+        weights = [weights[i] for i in keep]
+    else:
+        weights = list(weights)
+    if keep_positions == tuple(range(source.arity)):
+        rows = list(rows)
+    else:
+        rows = key_column(rows, keep_positions)
+    return Relation.from_validated(
+        name or f"{atom.relation}#{atom_index}",
+        tuple(first_position),
+        rows,
+        weights,
+    )
 
 
 def multiset(relation: Relation, round_digits: int = 9) -> Multiset:
@@ -86,11 +97,12 @@ def reorder_to_query_schema(
     """Reorder a result relation's columns into the query's variable order."""
     if relation.schema == query.variables:
         return relation
-    positions = relation.positions(query.variables)
-    out = output_relation(query, relation.name)
-    for row, weight in zip(relation.rows, relation.weights):
-        out.add(tuple(row[p] for p in positions), weight)
-    return out
+    return Relation.from_validated(
+        relation.name,
+        query.variables,
+        key_column(relation.rows, relation.positions(query.variables)),
+        list(relation.weights),
+    )
 
 
 def iter_weighted(relation: Relation) -> Iterable[tuple[tuple, float]]:

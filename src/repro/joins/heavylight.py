@@ -33,10 +33,12 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import itemgetter
 from typing import Any, Callable, Optional
 
 from repro.data.database import Database
-from repro.data.relation import Relation
+from repro.data.relation import Relation, SchemaError, key_column
 from repro.joins.base import atom_relation
 from repro.query.cq import Atom, ConjunctiveQuery, QueryError
 from repro.util.counters import Counters
@@ -181,16 +183,17 @@ def _filtered_unary(
     counters: Optional[Counters],
 ) -> Relation:
     """σ_{filter_var = value}(relation) projected (with weights) to ``keep``."""
-    index = relation.index_on((filter_var,))
-    keep_position = relation.positions((keep,))[0]
-    out = Relation(name, (keep,))
-    for row_id in index.get((value,), ()):
-        if counters is not None:
-            counters.tuples_read += 1
-        out.add(
-            (relation.rows[row_id][keep_position],), relation.weights[row_id]
-        )
-    return out
+    row_ids = relation.index_on((filter_var,)).get((value,), ())
+    if counters is not None:
+        counters.tuples_read += len(row_ids)
+    rows, weights = relation.rows, relation.weights
+    (keep_position,) = relation.positions((keep,))
+    return Relation.from_validated(
+        name,
+        (keep,),
+        [(rows[i][keep_position],) for i in row_ids],
+        [weights[i] for i in row_ids],
+    )
 
 
 def _light_restriction(
@@ -201,14 +204,17 @@ def _light_restriction(
     counters: Optional[Counters],
 ) -> Relation:
     """Rows whose ``variable`` value is not heavy."""
-    position = relation.positions((variable,))[0]
-    out = Relation(name, relation.schema)
-    for row, weight in zip(relation.rows, relation.weights):
-        if counters is not None:
-            counters.tuples_read += 1
-        if row[position] not in heavy_values:
-            out.add(row, weight)
-    return out
+    (position,) = relation.positions((variable,))
+    if counters is not None:
+        counters.tuples_read += len(relation)
+    return relation.take(
+        [
+            i
+            for i, row in enumerate(relation.rows)
+            if row[position] not in heavy_values
+        ],
+        name,
+    )
 
 
 def _wedge(
@@ -222,7 +228,9 @@ def _wedge(
     """Natural join of two relations sharing exactly ``join_var``.
 
     Used for J12 = R1L ⋈ R2L and J34 = R3L ⋈ R4L; sizes are bounded by
-    n·Δ because the shared variable is light on the side indexed.
+    n·Δ because the shared variable is light on the side indexed.  The
+    combined weights are new values, so they get the finiteness check
+    every relation boundary applies (a sum can overflow to ``inf``).
     """
     shared = [a for a in left.schema if a in right.schema]
     if shared != [join_var]:
@@ -230,20 +238,26 @@ def _wedge(
             f"wedge expects exactly one shared variable {join_var!r}, "
             f"got {shared}"
         )
-    left_index = left.index_on((join_var,))
-    right_position = right.positions((join_var,))[0]
+    # Partners per right row, looked up on the bare join value.
+    left_ids = {key: ids for (key,), ids in left.index_on((join_var,)).items()}
+    right_keys = map(itemgetter(*right.positions((join_var,))), right.rows)
+    partners = list(map(left_ids.get, right_keys, repeat(())))
     extra = [a for a in right.schema if a != join_var]
-    extra_positions = right.positions(extra)
-    out = Relation(name, tuple(left.schema) + tuple(extra))
-    for row, weight in zip(right.rows, right.weights):
-        if counters is not None:
-            counters.tuples_read += 1
-            counters.hash_probes += 1
-        for left_id in left_index.get((row[right_position],), ()):
-            out.add(
-                left.rows[left_id] + tuple(row[p] for p in extra_positions),
-                combine(left.weights[left_id], weight),
-            )
-            if counters is not None:
-                counters.intermediate_tuples += 1
-    return out
+    tails = key_column(right.rows, right.positions(extra))
+    left_rows, left_weights = left.rows, left.weights
+    rows = [left_rows[i] + tail for tail, ids in zip(tails, partners) for i in ids]
+    weights = [
+        combine(left_weights[i], weight)
+        for weight, ids in zip(right.weights, partners)
+        for i in ids
+    ]
+    if not all(map(math.isfinite, weights)):
+        bad = next(w for w in weights if not math.isfinite(w))
+        raise SchemaError(f"relation {name!r}: weight {bad!r} is not finite")
+    if counters is not None:
+        counters.tuples_read += len(right)
+        counters.hash_probes += len(right)
+        counters.intermediate_tuples += len(rows)
+    return Relation.from_validated(
+        name, tuple(left.schema) + tuple(extra), rows, weights
+    )

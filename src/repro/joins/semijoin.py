@@ -7,10 +7,19 @@ at least one query answer, so no later join step can blow up on dangling
 tuples.  :func:`full_reducer` implements the two passes over the
 variable-schema relations of an acyclic query and returns the reduced
 relations keyed by atom index.
+
+The rows arriving here were validated when they entered their base
+relation, so a semijoin moves them in bulk: one ``itemgetter`` key
+column per side, one membership mask, and ``itertools.compress`` over
+the rows and weights into a :meth:`Relation.from_validated` result.
+``Counters`` are bumped once per semijoin by the tuple-at-a-time totals
+(every tuple of both sides read, one hash probe per left tuple).
 """
 
 from __future__ import annotations
 
+from itertools import compress
+from operator import itemgetter
 from typing import Optional
 
 from repro.data.database import Database
@@ -35,21 +44,22 @@ def semijoin(
         if len(right) == 0:
             return Relation(left.name, left.schema)
         return left.copy()
-    right_keys = set()
-    right_positions = right.positions(shared)
-    for row in right.rows:
-        if counters is not None:
-            counters.tuples_read += 1
-        right_keys.add(tuple(row[p] for p in right_positions))
-    left_positions = left.positions(shared)
-    out = Relation(left.name, left.schema)
-    for row, weight in zip(left.rows, left.weights):
-        if counters is not None:
-            counters.tuples_read += 1
-            counters.hash_probes += 1
-        if tuple(row[p] for p in left_positions) in right_keys:
-            out.add(row, weight)
-    return out
+    if counters is not None:
+        counters.tuples_read += len(right) + len(left)
+        counters.hash_probes += len(left)
+    right_keys = set(map(itemgetter(*right.positions(shared)), right.rows))
+    keep = list(
+        map(
+            right_keys.__contains__,
+            map(itemgetter(*left.positions(shared)), left.rows),
+        )
+    )
+    return Relation.from_validated(
+        left.name,
+        left.schema,
+        list(compress(left.rows, keep)),
+        list(compress(left.weights, keep)),
+    )
 
 
 def full_reducer(

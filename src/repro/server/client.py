@@ -97,6 +97,9 @@ class Client:
             self._socket = socket.create_connection(
                 (host, port), timeout=connect_timeout
             )
+            # Requests are small frames: send them now, not after the
+            # previous frame's ACK (Nagle).
+            self._socket.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             self._socket.settimeout(timeout)
             self._file = self._socket.makefile("rwb")
         self.timeout = timeout
@@ -438,6 +441,7 @@ class PipelinedClient:
         self._socket = socket.create_connection(
             (host, port), timeout=connect_timeout
         )
+        self._socket.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._wfile = self._socket.makefile("wb")
         self._rfile = self._socket.makefile("rb")
         self.timeout = timeout

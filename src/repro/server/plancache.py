@@ -260,11 +260,14 @@ def fingerprint_drift(before: tuple, after: tuple) -> float:
 
     Fingerprints are tuples of ``(name, schema, len, version)`` per
     referenced relation (:func:`repro.engine.catalog.database_fingerprint`).
-    Returns 0.0 for identical data generations, the maximum relative
-    cardinality change for same-shaped catalogs, and ``inf`` when the
-    shape changed (relations appeared/disappeared/re-schemed) or any
-    relation flipped between empty and non-empty — the cases where
-    cached routing decisions are not worth keeping.
+    Returns the maximum relative cardinality change for same-shaped
+    catalogs, and ``inf`` when the shape changed (relations appeared/
+    disappeared/re-schemed) or any relation flipped between empty and
+    non-empty — the cases where cached routing decisions are not worth
+    keeping.  Versions are ignored: 0.0 means every referenced relation
+    kept its cardinality, not that the data is the same (a delete plus
+    an insert changes rows at equal size).  Whether a cached working
+    instance may be reused is a question for fingerprint equality.
     """
     if before == after:
         return 0.0

@@ -299,11 +299,14 @@ class QueryService:
         Staleness is validated on hit against the request snapshot's
         fingerprint of the referenced relations:
 
-        - no drift + identical bound values: the entry's plan (with its
-          materialized working instance) is served as-is;
-        - drift within :data:`~repro.server.plancache.RECOST_DRIFT` or
-          different values: the routing is reused on a per-request plan
-          copy whose filtered instance is rebuilt from the snapshot;
+        - identical fingerprint (same relation versions) + identical
+          bound values: the entry's plan (with its materialized working
+          instance) is served as-is;
+        - any other drift within
+          :data:`~repro.server.plancache.RECOST_DRIFT` (zero included:
+          same cardinalities at other versions) or different values: the
+          routing is reused on a per-request plan copy whose working
+          instance is rebuilt from the snapshot;
         - larger drift or an empty/non-empty flip: the entry is
           re-costed in place (counted as a miss — the cache saved no
           routing work).
@@ -362,9 +365,11 @@ class QueryService:
             entry.recost(routed, fingerprint, values)
             self.plan_cache.note_recost()
             return BoundPlan(bound, routed, parameterized.template), False
-        if drift == 0.0 and values == entry.costed_values:
+        if entry.fingerprint == fingerprint and values == entry.costed_values:
             # Fast path: same data generation, same binding — the
             # entry's materialized working instance is exactly right.
+            # (Zero drift is not enough: a delete plus an insert keeps
+            # every cardinality but changes the rows.)
             return BoundPlan(bound, entry.plan, parameterized.template), True
         # Soft hit: the routing holds, but the filtered working instance
         # was materialized for other values (or a slightly different

@@ -350,6 +350,13 @@ class AnykTCPServer:
         if task is not None:
             self._connections.add(task)
         try:
+            # create_server() binds with proto 0, and asyncio sets
+            # TCP_NODELAY only on sockets whose proto is IPPROTO_TCP:
+            # without this, small response frames wait out Nagle plus
+            # delayed ACK.
+            sock = writer.get_extra_info("socket")
+            if sock is not None:
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             await connection.run()
             await connection.drain()
         except asyncio.CancelledError:

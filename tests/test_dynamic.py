@@ -27,6 +27,7 @@ from repro.data.relation import Relation
 from repro.dynamic import Delete, Insert, MutationError, VersionedDatabase, insert
 from repro.engine.catalog import StatsCache, database_fingerprint
 from repro.engine.planner import plan_compiled
+from repro.server.cli import parse_generator_spec
 from repro.server.service import QueryService
 from repro.sql.analyzer import analyze
 
@@ -317,6 +318,30 @@ class TestCacheStaleness:
         assert not second["plan_cached"]
         assert second["engine"] == "batch"  # empty input: batch finishes now
         assert second["version"] == 2
+
+    def test_equal_cardinality_mutations_do_not_serve_stale_rows(self):
+        # Two dangling inserts then a two-row delete leave every
+        # cardinality as it was (zero drift) at a new version: the cached
+        # plan's working instance belongs to version 1 and must not
+        # answer for version 4.
+        service = QueryService(
+            parse_generator_spec("path:length=3,size=400,domain=50,seed=13")
+        )
+        sql = "SELECT * FROM R1 JOIN R2 ON R1.A2 = R2.A2 ORDER BY weight LIMIT 5"
+        first = service.query(sql, fetch=5)
+        (a1, a2, _), _ = first["rows"][0]
+        service.mutate("INSERT INTO R1 VALUES (1000, 1000)")
+        service.mutate("INSERT INTO R1 VALUES (1001, 1001)")
+        deleted = service.mutate(f"DELETE FROM R1 WHERE A1 = {a1} AND A2 = {a2}")
+        assert deleted["rows"] == 2  # the pair is in R1 twice
+        snapshot = service.versioned.snapshot()
+        assert len(snapshot["R1"]) == 400
+
+        again = service.query(sql, fetch=5)
+        assert again["version"] == 4
+        assert (a1, a2) not in [tuple(row[:2]) for row, _ in again["rows"]]
+        fresh = QueryService(snapshot).query(sql, fetch=5)
+        assert again["rows"] == fresh["rows"]
 
 
 # ----------------------------------------------------------------------

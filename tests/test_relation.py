@@ -190,3 +190,37 @@ def test_bulk_load_matches_per_row_add():
     assert index[(1,)] == [0]
     b.bulk_load([(1, 9)], [0.0])
     assert b.index_on(("x",))[(1,)] == [0, 3]
+
+
+def test_constructor_and_extend_validate_once_like_add():
+    # Both go through bulk_load: the same SchemaError messages as add().
+    with pytest.raises(SchemaError, match=r"\(1,\) has arity 1, schema has arity 2"):
+        Relation("R", ("x", "y"), [(1, 2), (1,)])
+    with pytest.raises(SchemaError, match="weight inf is not finite"):
+        Relation("R", ("x",), [(1,), (2,)], [0.5, float("inf")])
+    r = Relation("R", ("x", "y"))
+    with pytest.raises(SchemaError, match="has arity 3"):
+        r.extend([(1, 2, 3)])
+    with pytest.raises(SchemaError, match="weight nan is not finite"):
+        r.extend([(1, 2)], [float("nan")])
+    with pytest.raises(SchemaError, match="2 rows but 1 weights"):
+        r.extend([(1, 2), (3, 4)], [0.0])
+    assert len(r) == 0  # a failed batch appends nothing
+    r.extend(iter([[1, 2], [3, 4]]), iter([1, 0.5]))  # any iterables
+    r.extend([(5, 6)])
+    assert r.rows == [(1, 2), (3, 4), (5, 6)]
+    assert r.weights == [1.0, 0.5, 0.0]
+    assert all(type(w) is float for w in r.weights)
+
+
+def test_take_and_from_validated_share_no_state():
+    r = Relation("R", ("x", "y"), [(1, 2), (3, 4), (5, 6)], [0.1, 0.2, 0.3])
+    r.version = 7
+    picked = r.take([2, 0])
+    assert (picked.name, picked.schema) == ("R", ("x", "y"))
+    assert picked.rows == [(5, 6), (1, 2)] and picked.weights == [0.3, 0.1]
+    assert picked.version == 0  # a derived relation, not a generation
+    picked.add((7, 8), 0.4)
+    assert len(r) == 3 and r.index_on(("x",)) == {(1,): [0], (3,): [1], (5,): [2]}
+    wrapped = Relation.from_validated("D", ("a",), [(1,)], [0.5], version=3)
+    assert wrapped.version == 3 and wrapped.index_on(("a",)) == {(1,): [0]}

@@ -26,7 +26,7 @@ from repro.server import (
     ServerError,
     serve_background,
 )
-from repro.server import protocol
+from repro.server import protocol, tcp
 
 GRAPH_SQL = (
     "SELECT * FROM E AS e1 JOIN E AS e2 ON e1.dst = e2.src "
@@ -326,6 +326,34 @@ def test_connect_and_read_timeouts_are_independent(served, monkeypatch):
         assert seen["connect_timeout"] == 3.5
         assert client._socket.gettimeout() == 7.0
         client.stats()
+
+
+def test_both_ends_disable_nagle(graph_db, monkeypatch):
+    # Small request/response frames must not wait on Nagle + delayed
+    # ACK: TCP_NODELAY on the accepted socket and on every client.
+    server_side = []
+
+    class Spy(tcp._Connection):
+        async def run(self):
+            sock = self.writer.get_extra_info("socket")
+            server_side.append(
+                sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            )
+            await super().run()
+
+    monkeypatch.setattr(tcp, "_Connection", Spy)
+    server, port = serve_background(graph_db, max_cursors=4)
+    try:
+        for client_class in (Client, PipelinedClient):
+            with client_class(port=port) as client:
+                client.stats()
+                assert client._socket.getsockopt(
+                    socket.IPPROTO_TCP, socket.TCP_NODELAY
+                )
+        assert len(server_side) == 2 and all(server_side)
+    finally:
+        server.shutdown()
+        server.server_close()
 
 
 # ----------------------------------------------------------------------
